@@ -1,0 +1,5 @@
+"""Wall-clock benchmark of the filter service, end to end and layer by layer.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
